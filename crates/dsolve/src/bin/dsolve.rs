@@ -4,8 +4,8 @@
 //! dsolve <module.ml> [--quals <file>] [--mlq <file>] [--annot]
 //!        [--annot-out <file>] [--stats] [--stats-json <file>]
 //!        [--trace-out <file>] [--quiet] [--timeout <secs>]
-//!        [--max-smt-queries <n>] [--jobs <n>] [--certify]
-//!        [--inject-fault <point[@N]>]
+//!        [--max-smt-queries <n>] [--jobs <n>] [--no-incremental]
+//!        [--certify] [--inject-fault <point[@N]>]
 //! ```
 //!
 //! `--stats` prints run statistics to stderr, including the theory
@@ -19,7 +19,9 @@
 //! the original DSOLVE did. `--timeout` and `--max-smt-queries` bound
 //! the run; an exhausted budget reports `UNKNOWN` with the reason.
 //! `--jobs` sets the fixpoint worker count (default: one per available
-//! CPU; `--jobs 1` selects the sequential solver).
+//! CPU; `--jobs 1` checks every round on the calling thread).
+//! `--no-incremental` sends every SMT query through the scratch path
+//! instead of incremental assertion-scope sessions.
 //!
 //! `--certify` replays every definite SMT verdict through an independent
 //! checker (countermodel evaluation for Invalid, theory-core replay for
@@ -50,7 +52,7 @@ use std::process::ExitCode;
 
 fn usage() -> ExitCode {
     log_error!(
-        "usage: dsolve <module.ml> [--quals <file>] [--mlq <file>] [--annot] [--annot-out <file>] [--stats] [--stats-json <file>] [--trace-out <file>] [--quiet] [--timeout <secs>] [--max-smt-queries <n>] [--jobs <n>] [--certify] [--inject-fault <point[@N]>]"
+        "usage: dsolve <module.ml> [--quals <file>] [--mlq <file>] [--annot] [--annot-out <file>] [--stats] [--stats-json <file>] [--trace-out <file>] [--quiet] [--timeout <secs>] [--max-smt-queries <n>] [--jobs <n>] [--no-incremental] [--certify] [--inject-fault <point[@N]>]"
     );
     ExitCode::from(3)
 }
@@ -69,6 +71,7 @@ fn main() -> ExitCode {
     let mut timeout: Option<u64> = None;
     let mut max_smt_queries: Option<u64> = None;
     let mut jobs: Option<usize> = None;
+    let mut no_incremental = false;
     let mut certify = false;
     let mut inject_fault: Option<String> = None;
     let mut it = args.iter();
@@ -109,6 +112,7 @@ fn main() -> ExitCode {
                 Some(n) if n > 0 => jobs = Some(n),
                 _ => return usage(),
             },
+            "--no-incremental" => no_incremental = true,
             "--certify" => certify = true,
             "--inject-fault" => match it.next() {
                 Some(f) => inject_fault = Some(f.clone()),
@@ -161,6 +165,7 @@ fn main() -> ExitCode {
     if let Some(n) = jobs {
         job.config.jobs = n;
     }
+    job.config.no_incremental = no_incremental;
     job.config.smt.certify = certify;
     // `--inject-fault` wins over the `DSOLVE_FAULT` environment variable.
     let fault = {

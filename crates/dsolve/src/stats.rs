@@ -8,29 +8,14 @@
 
 use crate::driver::JobResult;
 use dsolve_logic::Outcome;
+use dsolve_obs::json_escape;
 use std::fmt::Write as _;
-
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
 
 /// Renders one run's statistics as a JSON object.
 pub fn stats_json(name: &str, res: &JobResult) -> String {
     let st = &res.result.stats;
     let mut s = String::from("{\n");
-    let _ = writeln!(s, "  \"name\": \"{}\",", escape(name));
+    let _ = writeln!(s, "  \"name\": \"{}\",", json_escape(name));
     let (verdict, reason) = match res.outcome() {
         Outcome::Safe => ("safe".to_string(), None),
         Outcome::Unsafe => ("unsafe".to_string(), None),
@@ -38,7 +23,7 @@ pub fn stats_json(name: &str, res: &JobResult) -> String {
     };
     let _ = writeln!(s, "  \"outcome\": \"{verdict}\",");
     if let Some(r) = reason {
-        let _ = writeln!(s, "  \"reason\": \"{}\",", escape(&r));
+        let _ = writeln!(s, "  \"reason\": \"{}\",", json_escape(&r));
     }
     let _ = writeln!(s, "  \"loc\": {},", res.loc);
     let _ = writeln!(s, "  \"annotations\": {},", res.annotations);
@@ -82,14 +67,14 @@ pub fn stats_json(name: &str, res: &JobResult) -> String {
                 .iter()
                 .map(|(r, n)| format!("[{r}, {n}]"))
                 .collect();
-            format!("\"{}\": [{}]", escape(k), pts.join(", "))
+            format!("\"{}\": [{}]", json_escape(k), pts.join(", "))
         })
         .collect();
     let _ = writeln!(s, "  \"kvar_trajectories\": {{ {} }},", trajs.join(", "));
     let churn: Vec<String> = st
         .churning_kvars
         .iter()
-        .map(|k| format!("\"{}\"", escape(k)))
+        .map(|k| format!("\"{}\"", json_escape(k)))
         .collect();
     let _ = writeln!(s, "  \"churning_kvars\": [{}],", churn.join(", "));
     let _ = writeln!(s, "  \"metrics\": {}", res.metrics.to_json(2));
@@ -128,5 +113,9 @@ mod tests {
         assert!(v.get("rounds").unwrap().as_num().unwrap() >= 1.0);
         let metrics = v.get("metrics").unwrap();
         assert!(metrics.get("micro").is_some(), "micro counters embedded");
+        // A name with JSON-special characters round-trips.
+        let odd = "odd \"name\" \\ with\nnewline\tand tab";
+        let v = dsolve_obs::parse_json(&stats_json(odd, &res)).expect("stats JSON parses");
+        assert_eq!(v.get("name").and_then(|n| n.as_str()), Some(odd));
     }
 }

@@ -10,8 +10,9 @@
 use std::path::PathBuf;
 use std::process::Command;
 
-/// Per-row wall-clock budget, matching `run_figure10.sh --smoke`.
-const BUDGET_SECS: &str = "60";
+/// Per-row SMT query cap, the fleet's `fleet_budget()`: a deterministic
+/// budget, so a verdict never depends on host speed or load.
+const MAX_SMT_QUERIES: &str = "50000";
 
 /// Every fault point, with an occurrence chosen to land inside a short
 /// run (`@1` for round/session-keyed points, a small `@N` for the
@@ -40,7 +41,7 @@ enum Verdict {
 fn run(bench: &str, extra: &[&str]) -> (Option<i32>, Verdict, String) {
     let out = Command::new(env!("CARGO_BIN_EXE_dsolve"))
         .arg(bench_path(bench))
-        .args(["--timeout", BUDGET_SECS, "--jobs", "2", "--quiet"])
+        .args(["--max-smt-queries", MAX_SMT_QUERIES, "--jobs", "2", "--quiet"])
         .args(extra)
         .output()
         .expect("spawn dsolve");

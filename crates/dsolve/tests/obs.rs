@@ -136,7 +136,7 @@ fn cli_stats_run(dir: &std::path::Path, tag: &str, jobs: &str, scratch: bool) ->
         .arg("--stats-json")
         .arg(&out_path);
     if scratch {
-        cmd.env("DSOLVE_NO_INCREMENTAL", "1");
+        cmd.arg("--no-incremental");
     }
     let out = cmd.output().unwrap();
     assert!(

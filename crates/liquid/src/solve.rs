@@ -9,20 +9,29 @@
 //! terminates. Constraints with concrete right sides are verified under
 //! the final assignment and produce the reported errors.
 //!
-//! # Parallel mode
+//! # Rounds and workers
 //!
-//! With `jobs > 1` the solver runs the fixpoint in *rounds*: the pending
-//! worklist is drained, partitioned into groups of constraints with
-//! disjoint **write** κ-sets (constraints writing a common κ always land
-//! in the same partition), and each partition is checked on its own
-//! worker thread against a read-only snapshot of the assignment. Reads
-//! may cross partitions and see one-round-stale values; that is ordinary
+//! One engine serves every `--jobs` value. The fixpoint runs in
+//! *rounds*: each round takes the pending queue in FIFO order and splits
+//! it into partitions with disjoint **write** κ-sets (constraints writing
+//! a common κ always land in the same partition; each partition keeps
+//! round order). Each partition is checked Gauss–Seidel by one worker
+//! against the round-start assignment plus a local overlay of the
+//! worker's own weakenings. When a constraint weakens a κ, a reader
+//! still pending later in the same partition is left alone (it will read
+//! the overlay); every other reader, and the weakening constraint
+//! itself, joins the next round's queue in event order.
+//!
+//! With one worker there is one partition per round, so the schedule is
+//! the classic worklist with its BFS levels as rounds. With more, reads
+//! may cross partitions and see a one-round-stale value; that is ordinary
 //! chaotic iteration of a monotone operator — every constraint reading a
-//! changed κ is re-enqueued after the merge, so the iteration still
-//! converges to the same greatest fixpoint the sequential schedule
-//! finds. Weakenings are merged in deterministic (worker, κ) order, and
-//! all workers share one [`QueryCache`] and one atomic query counter so
-//! `--max-smt-queries` caps the *total* across threads.
+//! changed κ is re-enqueued after the merge, so the iteration converges
+//! to the same greatest fixpoint. Weakenings are merged in deterministic
+//! (worker, event) order, and all workers share one [`QueryCache`] and
+//! one query counter so `--max-smt-queries` caps the *total* across
+//! threads. A round or obligation chunk with a single partition runs on
+//! the calling thread.
 
 use crate::constraint::{LiquidError, SubC};
 use crate::env::{GlobalEnv, KEnv};
@@ -33,7 +42,7 @@ use dsolve_logic::{
 };
 use dsolve_obs::{log_debug, log_info, Obs, ObsPhase, QueryOrigin};
 use dsolve_smt::{QueryCache, SmtSolver, SolverConfig, Validity};
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::HashMap;
 use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -51,17 +60,17 @@ pub struct SolveStats {
     /// excluded and the total always equals the sum of
     /// `worker_queries`.
     pub smt_queries: u64,
-    /// Fixpoint iterations (constraint re-checks).
+    /// Fixpoint iterations: constraints actually checked (never more
+    /// than the iteration cap).
     pub iterations: u64,
     /// Wall-clock time spent in the weakening fixpoint.
     pub fixpoint_time: Duration,
     /// Wall-clock time spent checking concrete obligations.
     pub obligation_time: Duration,
-    /// Worker threads used (1 = sequential).
+    /// Fixpoint workers used.
     pub jobs: usize,
-    /// Fixpoint rounds: barrier rounds in parallel mode, BFS levels of
-    /// the worklist in sequential mode (0 when no constraint was ever
-    /// queued).
+    /// Fixpoint rounds (0 when no constraint was ever queued). At one
+    /// worker these are the BFS levels of the worklist.
     pub rounds: u64,
     /// Constraints in the largest single partition of any round.
     pub max_partition: usize,
@@ -82,8 +91,7 @@ pub struct SolveStats {
     /// sessions; `smt_scoped_checks / smt_sessions` is the average
     /// batch size — how much antecedent encoding was reused.
     pub smt_scoped_checks: u64,
-    /// Per-round, per-partition fixpoint work (sequential mode reports
-    /// one partition per round on worker 0).
+    /// Per-round, per-partition fixpoint work.
     pub partition_stats: Vec<PartitionStat>,
     /// Qualifier-count trajectory per weakened κ: `(name, points)` where
     /// each point is `(round, count)` and the first point is the initial
@@ -102,7 +110,7 @@ pub struct SolveStats {
 pub struct PartitionStat {
     /// 1-based fixpoint round.
     pub round: u64,
-    /// Worker index within the round (always 0 in sequential mode).
+    /// Worker index within the round.
     pub worker: usize,
     /// Constraints checked in this partition.
     pub constraints: u64,
@@ -164,12 +172,12 @@ pub struct SolveConfig {
     /// Resource limits for the whole run (deadline, query cap, fixpoint
     /// iteration cap, per-query search caps).
     pub budget: Budget,
-    /// Fixpoint worker threads: `0` = one per available CPU, `1` = the
-    /// sequential solver, `n` = exactly `n` workers.
+    /// Fixpoint workers: `0` = one per available CPU, `n` = at most `n`
+    /// partitions per round.
     pub jobs: usize,
     /// Disables incremental (assertion-scope) SMT batching: every
-    /// implication goes through the scratch `check_valid` path. The
-    /// `DSOLVE_NO_INCREMENTAL` environment variable forces this too.
+    /// implication goes through the scratch `check_valid` path
+    /// (`dsolve --no-incremental`).
     pub no_incremental: bool,
     /// Observability handle: the metrics registry every SMT query and
     /// fixpoint event records into, plus the optional trace sink.
@@ -182,23 +190,11 @@ pub struct SolveConfig {
     pub fault: Option<Arc<FaultPlan>>,
 }
 
-/// Whether this run batches implications through incremental SMT
-/// sessions (the default) or issues every query from scratch.
-fn use_incremental(config: &SolveConfig) -> bool {
-    !config.no_incremental && std::env::var_os("DSOLVE_NO_INCREMENTAL").is_none()
-}
+/// Stack size of each spawned fixpoint or obligation worker.
+const WORKER_STACK: usize = 2 << 20;
 
-/// Resolves `config.jobs` (`0` = available parallelism).
-pub fn effective_jobs(config: &SolveConfig) -> usize {
-    match config.jobs {
-        0 => std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1),
-        n => n,
-    }
-}
-
-/// Runs the iterative-weakening fixpoint.
+/// Runs the iterative-weakening fixpoint, then checks the concrete
+/// obligations under the solved assignment.
 pub fn solve(
     genv: &GlobalEnv,
     kenv: &KEnv,
@@ -206,12 +202,439 @@ pub fn solve(
     quals: &[Qualifier],
     config: &SolveConfig,
 ) -> Solution {
-    let jobs = effective_jobs(config);
-    if jobs <= 1 {
-        solve_sequential(genv, kenv, subs, quals, config)
-    } else {
-        solve_parallel(genv, kenv, subs, quals, config, jobs)
+    let obs = config.obs.clone();
+    let base = MetricsBaseline::capture(&obs);
+    let engine = Engine::new(genv, subs, config);
+    let jobs = engine.jobs;
+    let mut exhaustion: Option<Exhaustion> = None;
+    let fixpoint_start = Instant::now();
+    let mut stats = SolveStats {
+        jobs,
+        worker_queries: vec![0; jobs],
+        worker_checks: vec![0; jobs],
+        ..SolveStats::default()
+    };
+    log_info!(
+        "solve: {} constraints, {} kvars, {jobs} jobs",
+        subs.len(),
+        kenv.len()
+    );
+    let mut assignment = initial_assignment(kenv, quals, &mut stats);
+    log_info!("solve: initial quals = {}", stats.initial_quals);
+    {
+        let _fixpoint_span = obs.phase_span(ObsPhase::Fixpoint);
+        engine.fixpoint(&mut assignment, &mut stats, &mut exhaustion);
     }
+    stats.fixpoint_time = fixpoint_start.elapsed();
+
+    let obligation_start = Instant::now();
+    let errors = {
+        let _obligation_span = obs.phase_span(ObsPhase::Obligations);
+        engine.obligations(&assignment, &mut stats, &mut exhaustion)
+    };
+    stats.obligation_time = obligation_start.elapsed();
+    base.fill(&obs, &mut stats);
+    obs.metrics()
+        .cache_poison_recoveries
+        .add(engine.cache.poison_recoveries());
+    taint_refused_unsafe(&base, &obs, &errors, &mut exhaustion);
+
+    Solution {
+        assignment,
+        errors,
+        stats,
+        exhaustion,
+    }
+}
+
+/// One solve's fixed inputs and shared resources, read by every worker:
+/// the constraint indices, one absolute deadline, and the one query cache
+/// and query counter that every round and the obligation pass draw on.
+struct Engine<'a> {
+    genv: &'a GlobalEnv,
+    subs: &'a [SubC],
+    config: &'a SolveConfig,
+    /// Workers, resolved from `config.jobs` (`0` = one per CPU).
+    jobs: usize,
+    deadline: Option<Instant>,
+    /// Provenance label per constraint.
+    labels: Vec<Arc<str>>,
+    /// κs each constraint writes (the κs on its right side).
+    writes: Vec<Vec<KVar>>,
+    /// κ → constraints that read it, in constraint order.
+    readers: HashMap<KVar, Vec<usize>>,
+    cache: Arc<QueryCache>,
+    queries: Arc<AtomicU64>,
+}
+
+/// What one worker reports back for its partition of a round.
+struct WorkerReport {
+    /// Constraints checked: a prefix of the partition, shorter than it
+    /// only when the deadline cut the round short.
+    checked: usize,
+    /// SMT queries solved by this worker's solvers.
+    queries: u64,
+    /// `(constraint, κ, survivors)` for every weakening, in event order.
+    weakened: Vec<(usize, KVar, Vec<Pred>)>,
+    /// First exhaustion this worker hit (deadline or a caught panic).
+    exhaustion: Option<Exhaustion>,
+    /// Wall-clock time this worker spent on its partition.
+    wall: Duration,
+}
+
+impl<'a> Engine<'a> {
+    fn new(genv: &'a GlobalEnv, subs: &'a [SubC], config: &'a SolveConfig) -> Engine<'a> {
+        let jobs = match config.jobs {
+            0 => std::thread::available_parallelism()
+                .map(std::num::NonZeroUsize::get)
+                .unwrap_or(1),
+            n => n,
+        };
+        let cache = QueryCache::shared();
+        // Cache-poison injection: poison every shard, exercising the
+        // lock-recovery path end to end.
+        if config
+            .fault
+            .as_ref()
+            .is_some_and(|f| f.fire(FaultPoint::CachePoison))
+        {
+            cache.poison_all_shards();
+        }
+        let mut readers: HashMap<KVar, Vec<usize>> = HashMap::new();
+        for (i, c) in subs.iter().enumerate() {
+            for k in c.reads() {
+                readers.entry(k).or_default().push(i);
+            }
+        }
+        Engine {
+            genv,
+            subs,
+            config,
+            jobs,
+            deadline: config.budget.deadline_from_now(),
+            labels: constraint_labels(subs, &config.obs),
+            writes: subs.iter().map(SubC::writes).collect(),
+            readers,
+            cache,
+            queries: Arc::new(AtomicU64::new(0)),
+        }
+    }
+
+    fn make_solver(&self) -> SmtSolver {
+        let mut smt = SmtSolver::with_config(SolverConfig {
+            budget: self.config.budget,
+            ..self.config.smt
+        });
+        // Pin the absolute deadline so the SMT clock does not restart at
+        // the first query.
+        smt.set_deadline(self.deadline);
+        smt.share_cache(Arc::clone(&self.cache));
+        smt.share_query_counter(Arc::clone(&self.queries));
+        smt.set_obs(self.config.obs.clone());
+        smt.set_fault(self.config.fault.clone());
+        smt
+    }
+
+    fn origin(&self, ci: usize, round: u64, worker: usize) -> Option<QueryOrigin> {
+        Some(QueryOrigin {
+            constraint: ci as u32,
+            label: self.labels[ci].clone(),
+            round,
+            worker: worker as u32,
+        })
+    }
+
+    /// The weakening fixpoint, round by round (see the module docs),
+    /// until the queue drains or the iteration cap or the deadline cuts
+    /// it short.
+    fn fixpoint(
+        &self,
+        assignment: &mut HashMap<KVar, Vec<Pred>>,
+        stats: &mut SolveStats,
+        exhaustion: &mut Option<Exhaustion>,
+    ) {
+        let obs = &self.config.obs;
+        let cap = self.config.budget.max_fixpoint_iterations;
+        let n = self.subs.len();
+        let mut queue: Vec<usize> = (0..n).filter(|&i| !self.writes[i].is_empty()).collect();
+        let mut queued = vec![false; n];
+        for &ci in &queue {
+            queued[ci] = true;
+        }
+        // `(partition, position)` of each constraint in the current round.
+        let mut place: Vec<Option<(usize, usize)>> = vec![None; n];
+        // Constraints left unchecked when the fixpoint is cut short.
+        let mut unchecked: Vec<usize> = Vec::new();
+        let mut traj: HashMap<KVar, Vec<(u64, usize)>> = HashMap::new();
+        while !queue.is_empty() {
+            let mut round = std::mem::take(&mut queue);
+            for &ci in &round {
+                queued[ci] = false;
+            }
+            // Iteration cap: check only what the cap still allows; the
+            // tail stays unchecked and feeds the churn report.
+            let allowance =
+                usize::try_from(cap.saturating_sub(stats.iterations)).unwrap_or(usize::MAX);
+            if round.len() > allowance {
+                unchecked = round.split_off(allowance);
+            }
+            if round.is_empty() {
+                break;
+            }
+            let partitions = partition_round(&round, &self.writes, self.jobs);
+            for (w, part) in partitions.iter().enumerate() {
+                for (i, &ci) in part.iter().enumerate() {
+                    place[ci] = Some((w, i));
+                }
+            }
+            stats.rounds += 1;
+            obs.metrics().fixpoint_rounds.incr();
+            let round_no = stats.rounds;
+            let largest = partitions.iter().map(Vec::len).max().unwrap_or(0);
+            stats.max_partition = stats.max_partition.max(largest);
+            log_info!(
+                "fixpoint round {round_no}: {} constraints in {} partitions (max {largest})",
+                round.len(),
+                partitions.len()
+            );
+            let round_span = obs.tracing().then(|| {
+                obs.span("fixpoint", format!("round {round_no}"))
+                    .arg("constraints", round.len() as u64)
+                    .arg("partitions", partitions.len() as u64)
+            });
+            let snapshot: &HashMap<KVar, Vec<Pred>> = assignment;
+            let reports = fan_out(&partitions, |w, part| {
+                self.check_partition(w, part, round_no, snapshot)
+            });
+            drop(round_span);
+
+            // Merge in (worker, event) order. Partitions write disjoint κs,
+            // so the final value of every κ is unambiguous.
+            for (w, (report, part)) in reports.into_iter().zip(&partitions).enumerate() {
+                let report = report.unwrap_or_else(|p| std::panic::resume_unwind(p));
+                stats.iterations += report.checked as u64;
+                stats.worker_queries[w] += report.queries;
+                stats.worker_checks[w] += report.checked as u64;
+                stats.partition_stats.push(PartitionStat {
+                    round: round_no,
+                    worker: w,
+                    constraints: report.checked as u64,
+                    wall: report.wall,
+                });
+                if let Some(e) = report.exhaustion {
+                    exhaustion.get_or_insert(e);
+                }
+                unchecked.extend_from_slice(&part[report.checked..]);
+                for (ci, k, kept) in report.weakened {
+                    let kept_len = kept.len();
+                    let prev = assignment.insert(k, kept);
+                    let prev_len = prev.map_or(0, |v| v.len());
+                    record_trajectory(&mut traj, k, round_no, prev_len, kept_len);
+                    // A reader pending later in this partition reads the
+                    // overlay; every other reader, and `ci` itself, is
+                    // re-checked next round.
+                    let at = place[ci].map_or(0, |(_, i)| i);
+                    let readers = self.readers.get(&k).map_or(&[][..], Vec::as_slice);
+                    for &r in readers.iter().chain(std::iter::once(&ci)) {
+                        let later_here = matches!(place[r], Some((pw, pi)) if pw == w && pi > at);
+                        if !later_here && !queued[r] && !self.writes[r].is_empty() {
+                            queued[r] = true;
+                            queue.push(r);
+                        }
+                    }
+                }
+            }
+            for &ci in &round {
+                place[ci] = None;
+            }
+            obs.metrics().queue_depth.set(queue.len() as i64);
+            if !unchecked.is_empty() {
+                break;
+            }
+        }
+        // Cut short with the cap used up (a deadline already reported
+        // itself through the worker that hit it).
+        if !unchecked.is_empty() && stats.iterations >= cap {
+            exhaustion.get_or_insert(Exhaustion::with_detail(
+                Phase::Fixpoint,
+                Resource::FixpointIterations,
+                format!("cap {cap}"),
+            ));
+        }
+        stats.kvar_trajectories = finish_trajectories(traj);
+        if exhaustion.is_some() {
+            stats.churning_kvars = churn_names(self.subs, queue.into_iter().chain(unchecked));
+            name_churn(exhaustion, &stats.churning_kvars);
+        }
+    }
+
+    /// Checks one partition of round `round` in order, Gauss–Seidel
+    /// against `base` plus the worker's own weakenings. A constraint whose
+    /// check panics is quarantined: the κs it writes are weakened to ⊤
+    /// (sound — weakening is monotone), the run is tainted, and the
+    /// solver is rebuilt in case the panic left it mid-session.
+    fn check_partition(
+        &self,
+        w: usize,
+        part: &[usize],
+        round: u64,
+        base: &HashMap<KVar, Vec<Pred>>,
+    ) -> WorkerReport {
+        let started = Instant::now();
+        let obs = &self.config.obs;
+        let mut smt = self.make_solver();
+        let mut local: HashMap<KVar, Vec<Pred>> = HashMap::new();
+        let mut report = WorkerReport {
+            checked: 0,
+            queries: 0,
+            weakened: Vec::new(),
+            exhaustion: None,
+            wall: Duration::ZERO,
+        };
+        for (i, &ci) in part.iter().enumerate() {
+            if deadline_expired(self.deadline) {
+                report
+                    .exhaustion
+                    .get_or_insert(Exhaustion::new(Phase::Fixpoint, Resource::Deadline));
+                break;
+            }
+            report.checked += 1;
+            obs.metrics().fixpoint_iterations.incr();
+            smt.set_origin(self.origin(ci, round, w));
+            // Injected worker panic: fires on worker 0's first constraint
+            // of round `at`, caught and quarantined like a real one.
+            let inject = w == 0
+                && i == 0
+                && self
+                    .config
+                    .fault
+                    .as_ref()
+                    .is_some_and(|f| f.fire_at(FaultPoint::WorkerPanic, round));
+            let view = View {
+                base,
+                local: &local,
+            };
+            let checked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                if inject {
+                    panic!("injected worker panic (round {round})");
+                }
+                let incremental = !self.config.no_incremental;
+                weaken_constraint(self.genv, &self.subs[ci], &view, &mut smt, incremental)
+            }));
+            let weakened = checked.unwrap_or_else(|_| {
+                obs.metrics().workers_quarantined.incr();
+                report.exhaustion.get_or_insert(Exhaustion::with_detail(
+                    Phase::Fixpoint,
+                    Resource::Panic,
+                    format!(
+                        "constraint check panicked at [{}]; its κs weakened to true",
+                        self.subs[ci].origin
+                    ),
+                ));
+                report.queries += smt.stats.solved_queries;
+                smt = self.make_solver();
+                self.writes[ci].iter().map(|&k| (k, Vec::new())).collect()
+            });
+            for (k, kept) in weakened {
+                local.insert(k, kept.clone());
+                report.weakened.push((ci, k, kept));
+            }
+        }
+        report.queries += smt.stats.solved_queries;
+        report.wall = started.elapsed();
+        report
+    }
+
+    /// Checks the concrete obligations under the solved assignment in
+    /// `jobs` contiguous chunks. Errors come back in constraint order.
+    fn obligations(
+        &self,
+        assignment: &HashMap<KVar, Vec<Pred>>,
+        stats: &mut SolveStats,
+        exhaustion: &mut Option<Exhaustion>,
+    ) -> Vec<LiquidError> {
+        let targets: Vec<usize> = (0..self.subs.len())
+            .filter(|&i| {
+                self.subs[i]
+                    .rhs
+                    .atoms
+                    .iter()
+                    .any(|(_, a)| matches!(a, RefAtom::Conc(_)))
+            })
+            .collect();
+        let chunks: Vec<&[usize]> = targets
+            .chunks(targets.len().div_ceil(self.jobs).max(1))
+            .collect();
+        let results = fan_out(&chunks, |w, chunk| {
+            let mut smt = self.make_solver();
+            let mut errors = Vec::new();
+            let mut first: Option<Exhaustion> = None;
+            for &ci in *chunk {
+                smt.set_origin(self.origin(ci, 0, w));
+                let (errs, exh) = check_obligations(
+                    self.genv,
+                    &self.subs[ci],
+                    assignment,
+                    &mut smt,
+                    !self.config.no_incremental,
+                );
+                errors.extend(errs);
+                if let Some(e) = exh {
+                    first.get_or_insert(e);
+                }
+            }
+            (errors, first, smt.stats.solved_queries)
+        });
+        let mut errors = Vec::new();
+        for (w, result) in results.into_iter().enumerate() {
+            match result {
+                Ok((errs, exh, queries)) => {
+                    stats.worker_queries[w] += queries;
+                    errors.extend(errs);
+                    if let Some(e) = exh {
+                        exhaustion.get_or_insert(e);
+                    }
+                }
+                Err(_) => {
+                    // The chunk is unchecked, so the run cannot claim
+                    // Safe: taint it and degrade to Unknown.
+                    self.config.obs.metrics().workers_quarantined.incr();
+                    exhaustion.get_or_insert(Exhaustion::with_detail(
+                        Phase::ObligationCheck,
+                        Resource::Panic,
+                        "obligation check panicked; its chunk is unchecked".to_string(),
+                    ));
+                }
+            }
+        }
+        errors
+    }
+}
+
+/// Runs `work` on every part, returning the results in part order with a
+/// panic caught as `Err`. A single part runs on the calling thread; more
+/// run on one scoped thread each.
+fn fan_out<P: Sync, T: Send>(
+    parts: &[P],
+    work: impl Fn(usize, &P) -> T + Sync,
+) -> Vec<std::thread::Result<T>> {
+    if let [only] = parts {
+        return vec![std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| work(0, only)))];
+    }
+    std::thread::scope(|s| {
+        let handles: Vec<_> = parts
+            .iter()
+            .enumerate()
+            .map(|(w, part)| {
+                let work = &work;
+                std::thread::Builder::new()
+                    .stack_size(WORKER_STACK)
+                    .spawn_scoped(s, move || work(w, part))
+                    .expect("spawn fixpoint worker")
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join()).collect()
+    })
 }
 
 /// The initial assignment: all well-sorted qualifier instantiations per
@@ -232,21 +655,20 @@ fn initial_assignment(
     assignment
 }
 
-/// A read view over the assignment: a base map plus (in workers) a local
-/// overlay holding this partition's own weakenings.
+/// A worker's read view over the assignment: the round-start map plus a
+/// local overlay holding this partition's own weakenings.
 struct View<'a> {
     base: &'a HashMap<KVar, Vec<Pred>>,
-    local: Option<&'a HashMap<KVar, Vec<Pred>>>,
+    local: &'a HashMap<KVar, Vec<Pred>>,
 }
 
 impl View<'_> {
     fn get(&self, k: KVar) -> Vec<Pred> {
-        if let Some(local) = self.local {
-            if let Some(v) = local.get(&k) {
-                return v.clone();
-            }
-        }
-        self.base.get(&k).cloned().unwrap_or_default()
+        self.local
+            .get(&k)
+            .or_else(|| self.base.get(&k))
+            .cloned()
+            .unwrap_or_default()
     }
 
     fn pred_of(&self, k: KVar) -> Pred {
@@ -289,12 +711,7 @@ fn weaken_constraint(
         for p in &rhs_preds {
             seeds.extend(p.free_vars());
         }
-        let no_prune = std::env::var_os("DSOLVE_NO_PRUNE").is_some();
-        let pruned = if no_prune {
-            antecedent.clone()
-        } else {
-            prune_conjuncts(antecedent.clone(), &mut seeds)
-        };
+        let pruned = prune_conjuncts(antecedent.clone(), &mut seeds);
         let lhs_full = Pred::and(vec![pruned, lhs.clone()]);
         // Pruning is a fast path, not a semantics: failures are
         // retried against the full antecedent before a qualifier is
@@ -443,278 +860,6 @@ fn check_obligations(
     (errors, exhaustion)
 }
 
-/// The single-threaded solver (`--jobs 1`): one worklist, one SMT
-/// solver, immediate (Gauss–Seidel) assignment updates.
-fn solve_sequential(
-    genv: &GlobalEnv,
-    kenv: &KEnv,
-    subs: &[SubC],
-    quals: &[Qualifier],
-    config: &SolveConfig,
-) -> Solution {
-    let budget = config.budget;
-    let deadline = budget.deadline_from_now();
-    let obs = config.obs.clone();
-    let base = MetricsBaseline::capture(&obs);
-    // Cache-poison injection: give the run a shared cache with one shard
-    // poisoned, exercising the lock-recovery path end to end.
-    let poison_cache = config
-        .fault
-        .as_ref()
-        .filter(|f| f.fire(FaultPoint::CachePoison))
-        .map(|_| {
-            let cache = QueryCache::shared();
-            cache.poison_all_shards();
-            cache
-        });
-    let make_solver = || {
-        let mut smt = SmtSolver::with_config(SolverConfig {
-            budget,
-            ..config.smt
-        });
-        // Pin the absolute deadline so the SMT clock does not restart at
-        // the first query.
-        smt.set_deadline(deadline);
-        smt.set_obs(obs.clone());
-        smt.set_fault(config.fault.clone());
-        if let Some(c) = &poison_cache {
-            smt.share_cache(Arc::clone(c));
-        }
-        smt
-    };
-    let mut smt = make_solver();
-    let incremental = use_incremental(config);
-    let mut exhaustion: Option<Exhaustion> = None;
-    let fixpoint_start = Instant::now();
-    let mut stats = SolveStats {
-        jobs: 1,
-        ..SolveStats::default()
-    };
-    log_info!("solve: {} constraints, {} kvars", subs.len(), kenv.len());
-
-    let mut assignment = initial_assignment(kenv, quals, &mut stats);
-    log_info!("solve: initial quals = {}", stats.initial_quals);
-
-    // Provenance labels, one per constraint (shared with the SMT layer
-    // via `Arc`, formatted once).
-    let labels = constraint_labels(subs, &obs);
-
-    // Dependency index: κ → constraints that *read* it.
-    let mut readers: HashMap<KVar, Vec<usize>> = HashMap::new();
-    for (i, c) in subs.iter().enumerate() {
-        for k in c.reads() {
-            readers.entry(k).or_default().push(i);
-        }
-    }
-
-    // Worklist: every constraint with a κ on the right.
-    let mut queue: VecDeque<usize> = subs
-        .iter()
-        .enumerate()
-        .filter(|(_, c)| !c.writes().is_empty())
-        .map(|(i, _)| i)
-        .collect();
-    let mut queued: HashSet<usize> = queue.iter().copied().collect();
-
-    // The sequential worklist has no barriers, but a BFS level structure
-    // still exists: everything initially queued is "round 1", whatever
-    // those iterations enqueue is "round 2", and so on. The round number
-    // feeds provenance, the trace, the per-round partition stats, and —
-    // counted on this path too — `stats.rounds`.
-    let mut round: u64 = 1;
-    let mut round_left = queue.len();
-    let mut round_start = Instant::now();
-    let mut round_checked = 0u64;
-    let mut traj: HashMap<KVar, Vec<(u64, usize)>> = HashMap::new();
-    let mut round_span = obs.tracing().then(|| {
-        obs.span("fixpoint", "round 1").arg("constraints", round_left as u64)
-    });
-
-    {
-        let _fixpoint_span = obs.phase_span(ObsPhase::Fixpoint);
-        while let Some(ci) = queue.pop_front() {
-            queued.remove(&ci);
-            if round_left == 0 {
-                stats.partition_stats.push(PartitionStat {
-                    round,
-                    worker: 0,
-                    constraints: round_checked,
-                    wall: round_start.elapsed(),
-                });
-                round_checked = 0;
-                round_start = Instant::now();
-                round += 1;
-                round_left = queue.len() + 1;
-                round_span = obs.tracing().then(|| {
-                    obs.span("fixpoint", format!("round {round}"))
-                        .arg("constraints", round_left as u64)
-                });
-            }
-            round_left -= 1;
-            stats.iterations += 1;
-            obs.metrics().fixpoint_iterations.incr();
-            obs.metrics().queue_depth.set(queue.len() as i64);
-            if stats.iterations.is_multiple_of(50) {
-                log_info!(
-                    "fixpoint: iter={} queue={} smt={} at [{}]",
-                    stats.iterations,
-                    queue.len(),
-                    obs.metrics().smt_queries.get() - base.queries,
-                    subs[ci].origin
-                );
-            }
-            if stats.iterations > budget.max_fixpoint_iterations {
-                // The worklist is not drained: the assignment may still
-                // be too strong, so nothing downstream can be trusted as
-                // Safe. The popped constraint goes back so the churn
-                // report below sees it as pending.
-                queue.push_front(ci);
-                exhaustion = Some(Exhaustion::with_detail(
-                    Phase::Fixpoint,
-                    Resource::FixpointIterations,
-                    format!("cap {}", budget.max_fixpoint_iterations),
-                ));
-                break;
-            }
-            if deadline_expired(deadline) {
-                queue.push_front(ci);
-                exhaustion = Some(Exhaustion::new(Phase::Fixpoint, Resource::Deadline));
-                break;
-            }
-            round_checked += 1;
-            let view = View {
-                base: &assignment,
-                local: None,
-            };
-            smt.set_origin(Some(QueryOrigin {
-                constraint: ci as u32,
-                label: labels[ci].clone(),
-                round,
-                worker: 0,
-            }));
-            // Injected worker panic: fires on the first constraint of
-            // round `at`, caught and quarantined like a real one. The
-            // `fired() == 1` guard keeps repeat polls in the same round
-            // from firing again (`fire_at` does not consume).
-            let inject = config.fault.as_ref().is_some_and(|f| {
-                f.fire_at(FaultPoint::WorkerPanic, round) && f.fired() == 1
-            });
-            let checked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                if inject {
-                    panic!("injected worker panic (round {round})");
-                }
-                weaken_constraint(genv, &subs[ci], &view, &mut smt, incremental)
-            }));
-            let weakened = match checked {
-                Ok(w) => w,
-                Err(_) => {
-                    // Quarantine: conservatively weaken every κ this
-                    // constraint writes to ⊤ (sound — weakening is
-                    // monotone), taint the run, and rebuild the solver
-                    // in case the panic left it mid-session.
-                    obs.metrics().workers_quarantined.incr();
-                    exhaustion.get_or_insert(Exhaustion::with_detail(
-                        Phase::Fixpoint,
-                        Resource::Panic,
-                        format!(
-                            "constraint check panicked at [{}]; its κs weakened to true",
-                            subs[ci].origin
-                        ),
-                    ));
-                    smt = make_solver();
-                    subs[ci]
-                        .writes()
-                        .into_iter()
-                        .map(|k| (k, Vec::new()))
-                        .collect()
-                }
-            };
-            for (k, kept) in weakened {
-                let n = kept.len();
-                let prev = assignment.insert(k, kept);
-                record_trajectory(&mut traj, k, round, prev.map_or(0, |v| v.len()), n);
-                for &r in readers.get(&k).map(Vec::as_slice).unwrap_or(&[]) {
-                    if !subs[r].writes().is_empty() && queued.insert(r) {
-                        queue.push_back(r);
-                    }
-                }
-                // Also re-check this constraint's siblings writing k.
-                if queued.insert(ci) {
-                    queue.push_back(ci);
-                }
-            }
-        }
-        drop(round_span);
-    }
-
-    // Close out the last (possibly partial) round and count rounds on
-    // the sequential path too — `fixpoint_rounds` used to stay 0 at
-    // `--jobs 1` even after thousands of iterations.
-    if round_checked > 0 {
-        stats.partition_stats.push(PartitionStat {
-            round,
-            worker: 0,
-            constraints: round_checked,
-            wall: round_start.elapsed(),
-        });
-    }
-    if stats.iterations > 0 {
-        stats.rounds = round;
-        obs.metrics().fixpoint_rounds.add(stats.rounds);
-    }
-    stats.kvar_trajectories = finish_trajectories(traj);
-    if exhaustion.is_some() {
-        stats.churning_kvars = churn_names(subs, queue.iter().copied());
-        name_churn(&mut exhaustion, &stats.churning_kvars);
-    }
-
-    stats.fixpoint_time = fixpoint_start.elapsed();
-
-    // Final pass: concrete right-hand conjuncts.
-    let obligation_start = Instant::now();
-    let mut errors = Vec::new();
-    {
-        let _obligation_span = obs.phase_span(ObsPhase::Obligations);
-        for (ci, c) in subs.iter().enumerate() {
-            let has_conc = c
-                .rhs
-                .atoms
-                .iter()
-                .any(|(_, a)| matches!(a, RefAtom::Conc(_)));
-            if !has_conc {
-                continue;
-            }
-            smt.set_origin(Some(QueryOrigin {
-                constraint: ci as u32,
-                label: labels[ci].clone(),
-                round: 0,
-                worker: 0,
-            }));
-            let (errs, exh) = check_obligations(genv, c, &assignment, &mut smt, incremental);
-            errors.extend(errs);
-            if let Some(e) = exh {
-                exhaustion.get_or_insert(e);
-            }
-        }
-    }
-
-    stats.obligation_time = obligation_start.elapsed();
-    base.fill(&obs, &mut stats);
-    stats.worker_queries = vec![smt.stats.solved_queries];
-    stats.worker_checks = vec![stats.iterations];
-    if let Some(c) = &poison_cache {
-        obs.metrics().cache_poison_recoveries.add(c.poison_recoveries());
-    }
-    taint_refused_unsafe(&base, &obs, &errors, &mut exhaustion);
-
-    Solution {
-        assignment,
-        errors,
-        stats,
-        exhaustion,
-    }
-}
-
 /// Counter values at solve entry: per-solve stats are reported as deltas
 /// against these, so a driver-level `Obs` shared across several `verify`
 /// calls (spec specialization retries the whole pipeline) still yields
@@ -859,33 +1004,11 @@ fn constraint_labels(subs: &[SubC], obs: &Obs) -> Vec<std::sync::Arc<str>> {
     }
 }
 
-/// What one fixpoint worker reports back for its partition.
-struct WorkerReport {
-    /// Constraints checked.
-    checked: u64,
-    /// SMT queries this worker's solver actually solved (its private
-    /// `solved_queries` counter; session/cache totals come from the
-    /// metrics registry instead).
-    queries: u64,
-    /// `(constraint, κ, survivors)` for every weakening, in processing
-    /// order. The constraint index is kept so the merge can mirror the
-    /// sequential solver's re-enqueue policy.
-    weakened: Vec<(usize, KVar, Vec<Pred>)>,
-    /// First budget exhaustion this worker hit, if any.
-    exhaustion: Option<Exhaustion>,
-    /// Wall-clock time this worker spent on its partition.
-    wall: Duration,
-}
-
 /// Groups a round's constraints so that any two constraints writing a
 /// common κ share a partition (union–find over written κs), then bins
-/// the groups onto `jobs` workers, largest first. Returns non-empty
-/// partitions, each sorted by constraint index.
-fn partition_round(
-    round: &[usize],
-    writes: &[Vec<KVar>],
-    jobs: usize,
-) -> Vec<Vec<usize>> {
+/// the groups onto `jobs` workers, largest first. Returns the non-empty
+/// partitions, each in round order.
+fn partition_round(round: &[usize], writes: &[Vec<KVar>], jobs: usize) -> Vec<Vec<usize>> {
     // Union–find over positions in `round`.
     let mut parent: Vec<usize> = (0..round.len()).collect();
     fn find(parent: &mut [usize], i: usize) -> usize {
@@ -920,402 +1043,37 @@ fn partition_round(
             }
         }
     }
-    // Components keyed by root position, in first-appearance order.
-    let mut components: Vec<Vec<usize>> = Vec::new();
+    // Component of each position, numbered in first-appearance order.
     let mut comp_of_root: HashMap<usize, usize> = HashMap::new();
-    for (pos, &ci) in round.iter().enumerate() {
-        let root = find(&mut parent, pos);
-        let cix = *comp_of_root.entry(root).or_insert_with(|| {
-            components.push(Vec::new());
-            components.len() - 1
-        });
-        components[cix].push(ci);
-    }
-    // Longest-processing-time binning: sort components by size
-    // (descending, stable), assign each to the least-loaded worker.
-    let mut order: Vec<usize> = (0..components.len()).collect();
-    order.sort_by_key(|&i| std::cmp::Reverse(components[i].len()));
-    let mut bins: Vec<Vec<usize>> = vec![Vec::new(); jobs];
-    let mut load = vec![0usize; jobs];
-    for i in order {
-        let w = (0..jobs).min_by_key(|&b| load[b]).unwrap_or(0);
-        load[w] += components[i].len();
-        bins[w].extend(components[i].iter().copied());
-    }
-    let mut out: Vec<Vec<usize>> = bins.into_iter().filter(|b| !b.is_empty()).collect();
-    for b in &mut out {
-        b.sort_unstable();
-    }
-    out
-}
-
-/// The round-based parallel solver (`--jobs > 1`). See the module docs
-/// for the schedule and its soundness argument.
-fn solve_parallel(
-    genv: &GlobalEnv,
-    kenv: &KEnv,
-    subs: &[SubC],
-    quals: &[Qualifier],
-    config: &SolveConfig,
-    jobs: usize,
-) -> Solution {
-    let budget = config.budget;
-    let deadline = budget.deadline_from_now();
-    let obs = config.obs.clone();
-    let base = MetricsBaseline::capture(&obs);
-    let cache = QueryCache::shared();
-    if let Some(f) = &config.fault {
-        if f.fire(FaultPoint::CachePoison) {
-            cache.poison_all_shards();
-        }
-    }
-    let query_counter = Arc::new(AtomicU64::new(0));
-    let make_solver = || {
-        let mut smt = SmtSolver::with_config(SolverConfig {
-            budget,
-            ..config.smt
-        });
-        smt.set_deadline(deadline);
-        smt.share_cache(Arc::clone(&cache));
-        smt.share_query_counter(Arc::clone(&query_counter));
-        smt.set_obs(obs.clone());
-        smt.set_fault(config.fault.clone());
-        smt
-    };
-
-    let incremental = use_incremental(config);
-    let mut exhaustion: Option<Exhaustion> = None;
-    let fixpoint_start = Instant::now();
-    let mut stats = SolveStats {
-        jobs,
-        worker_queries: vec![0; jobs],
-        worker_checks: vec![0; jobs],
-        ..SolveStats::default()
-    };
-    log_info!(
-        "solve[{jobs} jobs]: {} constraints, {} kvars",
-        subs.len(),
-        kenv.len()
-    );
-
-    let mut assignment = initial_assignment(kenv, quals, &mut stats);
-    let labels = constraint_labels(subs, &obs);
-
-    // Dependency indices.
-    let mut readers: HashMap<KVar, Vec<usize>> = HashMap::new();
-    for (i, c) in subs.iter().enumerate() {
-        for k in c.reads() {
-            readers.entry(k).or_default().push(i);
-        }
-    }
-    let writes: Vec<Vec<KVar>> = subs.iter().map(SubC::writes).collect();
-
-    let mut queue: Vec<usize> = (0..subs.len())
-        .filter(|&i| !writes[i].is_empty())
-        .collect();
-    let mut queued: HashSet<usize> = queue.iter().copied().collect();
-    let mut traj: HashMap<KVar, Vec<(u64, usize)>> = HashMap::new();
-
-    let fixpoint_span = obs.phase_span(ObsPhase::Fixpoint);
-    while !queue.is_empty() {
-        if deadline_expired(deadline) {
-            exhaustion = Some(Exhaustion::new(Phase::Fixpoint, Resource::Deadline));
-            stats.churning_kvars = churn_names(subs, queue.iter().copied());
-            name_churn(&mut exhaustion, &stats.churning_kvars);
-            break;
-        }
-        // Deterministic round: pending constraints in index order.
-        let mut round: Vec<usize> = std::mem::take(&mut queue);
-        queued.clear();
-        round.sort_unstable();
-        // Iteration budget: split off what exceeds the remainder (the
-        // sequential solver exhausts *before* processing the first
-        // over-cap constraint, so a zero remainder exhausts here too).
-        // The dropped tail still feeds the churn report.
-        let remaining = budget.max_fixpoint_iterations.saturating_sub(stats.iterations);
-        let dropped: Vec<usize> = if (round.len() as u64) > remaining {
-            round.split_off(remaining as usize)
-        } else {
-            Vec::new()
-        };
-        let over_cap = !dropped.is_empty();
-        if round.is_empty() {
-            exhaustion = Some(Exhaustion::with_detail(
-                Phase::Fixpoint,
-                Resource::FixpointIterations,
-                format!("cap {}", budget.max_fixpoint_iterations),
-            ));
-            stats.churning_kvars = churn_names(subs, dropped);
-            name_churn(&mut exhaustion, &stats.churning_kvars);
-            break;
-        }
-
-        let partitions = partition_round(&round, &writes, jobs);
-        stats.rounds += 1;
-        obs.metrics().fixpoint_rounds.incr();
-        let round_no = stats.rounds;
-        stats.max_partition = stats
-            .max_partition
-            .max(partitions.iter().map(Vec::len).max().unwrap_or(0));
-        log_info!(
-            "fixpoint round {}: {} constraints in {} partitions (max {})",
-            stats.rounds,
-            round.len(),
-            partitions.len(),
-            partitions.iter().map(Vec::len).max().unwrap_or(0)
-        );
-        let round_span = obs.tracing().then(|| {
-            obs.span("fixpoint", format!("round {round_no}"))
-                .arg("constraints", round.len() as u64)
-                .arg("partitions", partitions.len() as u64)
-        });
-
-        let snapshot = &assignment;
-        let labels_ref = &labels;
-        let obs_ref = &obs;
-        let fault_ref = &config.fault;
-        let reports: Vec<WorkerReport> = std::thread::scope(|s| {
-            let handles: Vec<_> = partitions
-                .iter()
-                .enumerate()
-                .map(|(w, part)| {
-                    let mut smt = make_solver();
-                    s.spawn(move || {
-                        let started = Instant::now();
-                        // Injected worker panic: worker 0 dies at the
-                        // start of round `at`, exercising the quarantine
-                        // path below.
-                        if w == 0
-                            && fault_ref
-                                .as_ref()
-                                .is_some_and(|f| f.fire_at(FaultPoint::WorkerPanic, round_no))
-                        {
-                            panic!("injected worker panic (round {round_no})");
-                        }
-                        let mut local: HashMap<KVar, Vec<Pred>> = HashMap::new();
-                        let mut report = WorkerReport {
-                            checked: 0,
-                            queries: 0,
-                            weakened: Vec::new(),
-                            exhaustion: None,
-                            wall: Duration::ZERO,
-                        };
-                        for &ci in part {
-                            if deadline_expired(deadline) {
-                                report.exhaustion = Some(Exhaustion::new(
-                                    Phase::Fixpoint,
-                                    Resource::Deadline,
-                                ));
-                                break;
-                            }
-                            report.checked += 1;
-                            obs_ref.metrics().fixpoint_iterations.incr();
-                            let view = View {
-                                base: snapshot,
-                                local: Some(&local),
-                            };
-                            smt.set_origin(Some(QueryOrigin {
-                                constraint: ci as u32,
-                                label: labels_ref[ci].clone(),
-                                round: round_no,
-                                worker: w as u32,
-                            }));
-                            let weakened =
-                                weaken_constraint(genv, &subs[ci], &view, &mut smt, incremental);
-                            for (k, kept) in weakened {
-                                local.insert(k, kept.clone());
-                                report.weakened.push((ci, k, kept));
-                            }
-                        }
-                        report.queries = smt.stats.solved_queries;
-                        report.wall = started.elapsed();
-                        report
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .zip(&partitions)
-                .map(|(h, part)| {
-                    h.join().unwrap_or_else(|_| {
-                        // A worker died (injected or real): quarantine
-                        // its partition. Every κ the partition writes is
-                        // conservatively weakened to ⊤ — sound, since
-                        // weakening is monotone — and the run is tainted
-                        // so the outcome degrades to Unknown rather than
-                        // claiming Safe from a partial fixpoint.
-                        obs_ref.metrics().workers_quarantined.incr();
-                        WorkerReport {
-                            checked: 0,
-                            queries: 0,
-                            weakened: part
-                                .iter()
-                                .flat_map(|&ci| {
-                                    writes[ci].iter().map(move |&k| (ci, k, Vec::new()))
-                                })
-                                .collect(),
-                            exhaustion: Some(Exhaustion::with_detail(
-                                Phase::Fixpoint,
-                                Resource::Panic,
-                                format!(
-                                    "fixpoint worker panicked; quarantined {} constraints",
-                                    part.len()
-                                ),
-                            )),
-                            wall: Duration::ZERO,
-                        }
-                    })
-                })
-                .collect()
-        });
-        drop(round_span);
-
-        // Deterministic merge: workers are ordered, partitions have
-        // disjoint write-sets, and each worker reports weakenings in
-        // its own processing order — so the final value of every κ is
-        // unambiguous.
-        for (w, report) in reports.iter().enumerate() {
-            stats.iterations += report.checked;
-            stats.worker_queries[w] += report.queries;
-            stats.worker_checks[w] += report.checked;
-            stats.partition_stats.push(PartitionStat {
-                round: round_no,
-                worker: w,
-                constraints: report.checked,
-                wall: report.wall,
+    let mut sizes: Vec<usize> = Vec::new();
+    let comp: Vec<usize> = (0..round.len())
+        .map(|pos| {
+            let root = find(&mut parent, pos);
+            let c = *comp_of_root.entry(root).or_insert_with(|| {
+                sizes.push(0);
+                sizes.len() - 1
             });
-            if let Some(e) = &report.exhaustion {
-                exhaustion.get_or_insert(e.clone());
-            }
-            for (ci, k, kept) in &report.weakened {
-                let n = kept.len();
-                let prev = assignment.insert(*k, kept.clone());
-                record_trajectory(&mut traj, *k, round_no, prev.map_or(0, |v| v.len()), n);
-                for &r in readers.get(k).map(Vec::as_slice).unwrap_or(&[]) {
-                    if !writes[r].is_empty() && queued.insert(r) {
-                        queue.push(r);
-                    }
-                }
-                // Mirror the sequential schedule: the weakening
-                // constraint itself is re-checked next round.
-                if queued.insert(*ci) {
-                    queue.push(*ci);
-                }
-            }
-        }
-        obs.metrics().queue_depth.set(queue.len() as i64);
-        if over_cap && exhaustion.is_none() {
-            exhaustion = Some(Exhaustion::with_detail(
-                Phase::Fixpoint,
-                Resource::FixpointIterations,
-                format!("cap {}", budget.max_fixpoint_iterations),
-            ));
-        }
-        if exhaustion.is_some() {
-            stats.churning_kvars =
-                churn_names(subs, queue.iter().copied().chain(dropped));
-            name_churn(&mut exhaustion, &stats.churning_kvars);
-            break;
-        }
-    }
-    drop(fixpoint_span);
-    stats.kvar_trajectories = finish_trajectories(traj);
-
-    stats.fixpoint_time = fixpoint_start.elapsed();
-
-    // Final pass: concrete right-hand conjuncts, fanned out in chunks
-    // and merged back in constraint order so the error list is identical
-    // to the sequential one.
-    let obligation_start = Instant::now();
-    let targets: Vec<usize> = (0..subs.len())
-        .filter(|&i| {
-            subs[i]
-                .rhs
-                .atoms
-                .iter()
-                .any(|(_, a)| matches!(a, RefAtom::Conc(_)))
+            sizes[c] += 1;
+            c
         })
         .collect();
-    let chunk = targets.len().div_ceil(jobs.max(1)).max(1);
-    let assignment_ref = &assignment;
-    let labels_ref = &labels;
-    let obligation_span = obs.phase_span(ObsPhase::Obligations);
-    let mut obligation_results: Vec<(usize, Vec<LiquidError>, Option<Exhaustion>)> =
-        std::thread::scope(|s| {
-            let handles: Vec<_> = targets
-                .chunks(chunk)
-                .enumerate()
-                .map(|(w, part)| {
-                    let mut smt = make_solver();
-                    s.spawn(move || {
-                        let mut out = Vec::new();
-                        for &ci in part {
-                            smt.set_origin(Some(QueryOrigin {
-                                constraint: ci as u32,
-                                label: labels_ref[ci].clone(),
-                                round: 0,
-                                worker: w as u32,
-                            }));
-                            let (errs, exh) = check_obligations(
-                                genv,
-                                &subs[ci],
-                                assignment_ref,
-                                &mut smt,
-                                incremental,
-                            );
-                            out.push((ci, errs, exh));
-                        }
-                        (out, smt.stats.solved_queries)
-                    })
-                })
-                .collect();
-            let mut merged = Vec::new();
-            for (w, h) in handles.into_iter().enumerate() {
-                match h.join() {
-                    Ok((out, queries)) => {
-                        if w < stats.worker_queries.len() {
-                            stats.worker_queries[w] += queries;
-                        }
-                        merged.extend(out);
-                    }
-                    Err(_) => {
-                        // An obligation worker died: its chunk is
-                        // unchecked, so the run cannot claim Safe —
-                        // taint it and degrade to Unknown.
-                        obs.metrics().workers_quarantined.incr();
-                        exhaustion.get_or_insert(Exhaustion::with_detail(
-                            Phase::ObligationCheck,
-                            Resource::Panic,
-                            "obligation worker panicked; its chunk is unchecked".to_string(),
-                        ));
-                    }
-                }
-            }
-            merged
-        });
-    drop(obligation_span);
-    obligation_results.sort_by_key(|(ci, _, _)| *ci);
-    let mut errors = Vec::new();
-    for (_, errs, exh) in obligation_results {
-        errors.extend(errs);
-        if let Some(e) = exh {
-            exhaustion.get_or_insert(e);
-        }
+    // Longest-processing-time binning: components by size (descending,
+    // stable), each to the least-loaded worker.
+    let mut order: Vec<usize> = (0..sizes.len()).collect();
+    order.sort_by_key(|&c| std::cmp::Reverse(sizes[c]));
+    let mut bin_of = vec![0usize; sizes.len()];
+    let mut load = vec![0usize; jobs.max(1)];
+    for c in order {
+        let w = (0..load.len()).min_by_key(|&b| load[b]).unwrap_or(0);
+        load[w] += sizes[c];
+        bin_of[c] = w;
     }
-
-    stats.obligation_time = obligation_start.elapsed();
-    base.fill(&obs, &mut stats);
-    obs.metrics()
-        .cache_poison_recoveries
-        .add(cache.poison_recoveries());
-    taint_refused_unsafe(&base, &obs, &errors, &mut exhaustion);
-
-    Solution {
-        assignment,
-        errors,
-        stats,
-        exhaustion,
+    let mut bins: Vec<Vec<usize>> = vec![Vec::new(); load.len()];
+    for (pos, &ci) in round.iter().enumerate() {
+        bins[bin_of[comp[pos]]].push(ci);
     }
+    bins.retain(|b| !b.is_empty());
+    bins
 }
 
 /// Checks a group of candidate qualifiers against one antecedent,
@@ -1334,7 +1092,7 @@ fn check_group(
         [] => {}
         [(q, rhs_q)] => {
             let mut ok = smt.is_valid(sorts, lhs, rhs_q);
-            if !ok && !retry_disabled() {
+            if !ok {
                 if let Some(full) = full {
                     if full != lhs {
                         ok = smt.is_valid(sorts, full, rhs_q);
@@ -1393,7 +1151,7 @@ fn check_group_batched(
     }
     // Pruning is a fast path, not a semantics: retry failures against
     // the unpruned antecedent before dropping a qualifier for good.
-    if failed.is_empty() || retry_disabled() {
+    if failed.is_empty() {
         return;
     }
     let Some(full) = full else { return };
@@ -1449,10 +1207,6 @@ fn prune_conjuncts(
             .filter_map(|(c, k)| if k { Some(c) } else { None })
             .collect(),
     )
-}
-
-fn retry_disabled() -> bool {
-    std::env::var_os("DSOLVE_NO_RETRY").is_some()
 }
 
 fn bind_nu(sorts: &mut dsolve_logic::SortEnv, shape: &dsolve_nanoml::MlType) {
@@ -1607,6 +1361,11 @@ mod tests {
         // 0 < ν does not hold of ν = 0.
         assert_eq!(sol.pred_of(r1.kvars()[0]), Pred::True);
         assert_eq!(sol.pred_of(r2.kvars()[0]), Pred::True);
+        // Round 1 checks all three; the readers weakened under (c1 by c0,
+        // c2 by c1) are still pending later in the round and read the
+        // overlay, so only the two weakening constraints are re-checked,
+        // in round 2.
+        assert_eq!((sol.stats.iterations, sol.stats.rounds), (5, 2));
     }
 
     #[test]
@@ -1832,11 +1591,17 @@ mod tests {
             },
             ..seq_config()
         };
-        let sol = solve(&genv, &kenv, &subs, &quals(), &config);
-        let e = sol.exhaustion.as_ref().expect("exhaustion recorded");
-        assert_eq!(e.resource, Resource::FixpointIterations);
-        assert!(!sol.stats.churning_kvars.is_empty());
-        assert!(e.detail.contains("still-churning"), "{}", e.detail);
+        for jobs in [1, 2] {
+            let config = SolveConfig { jobs, ..config.clone() };
+            let sol = solve(&genv, &kenv, &subs, &quals(), &config);
+            let e = sol.exhaustion.as_ref().expect("exhaustion recorded");
+            assert_eq!(e.resource, Resource::FixpointIterations);
+            // Only constraints actually checked count, so the count
+            // stops at the cap.
+            assert_eq!(sol.stats.iterations, 2, "jobs={jobs}");
+            assert!(!sol.stats.churning_kvars.is_empty());
+            assert!(e.detail.contains("still-churning"), "{}", e.detail);
+        }
     }
 
     #[test]
@@ -1862,21 +1627,15 @@ mod tests {
     }
 
     #[test]
-    fn partition_round_keeps_shared_writers_together() {
-        // Constraints 0 and 2 write κ0; constraint 1 writes κ1.
+    fn partition_round_keeps_shared_writers_together_in_round_order() {
+        // Constraints 0 and 2 write κ0; constraint 1 writes κ1. The
+        // round is not in index order, and neither is any partition.
         let k0 = KVar(0);
         let k1 = KVar(1);
         let writes = vec![vec![k0], vec![k1], vec![k0]];
-        let parts = partition_round(&[0, 1, 2], &writes, 2);
-        assert_eq!(parts.len(), 2);
-        let with_0 = parts.iter().find(|p| p.contains(&0)).unwrap();
-        assert!(with_0.contains(&2), "writers of κ0 split: {parts:?}");
-        // Partitions are sorted and disjoint.
-        for p in &parts {
-            let mut sorted = p.clone();
-            sorted.sort_unstable();
-            assert_eq!(*p, sorted);
-        }
+        assert_eq!(partition_round(&[2, 1, 0], &writes, 2), vec![vec![2, 0], vec![1]]);
+        // One worker: the whole round, FIFO.
+        assert_eq!(partition_round(&[2, 1, 0], &writes, 1), vec![vec![2, 1, 0]]);
     }
 
     #[test]

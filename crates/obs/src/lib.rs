@@ -35,7 +35,9 @@ pub use metrics::{
     TheoryKind, HIST_BUCKETS, NMICRO, NPHASES, NTHEORIES,
 };
 pub use provenance::{ConstraintCost, CostTable, QueryOrigin};
-pub use trace::{parse_json, validate_trace, validate_trace_file, Arg, Json, TraceSink, TraceSummary};
+pub use trace::{
+    json_escape, parse_json, validate_trace, validate_trace_file, Arg, Json, TraceSink, TraceSummary,
+};
 
 use std::fmt::Write as _;
 use std::path::Path;
@@ -363,22 +365,6 @@ pub struct Snapshot {
     pub query_time_sum_ns: u64,
     /// Most expensive constraints by attributed solver time.
     pub top_constraints: Vec<ConstraintCost>,
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 impl Snapshot {

@@ -60,9 +60,11 @@ impl From<String> for Arg {
     }
 }
 
-/// Escapes `s` into `out` as JSON string contents (no surrounding
-/// quotes).
-fn escape_into(out: &mut String, s: &str) {
+/// Escapes `s` as JSON string contents (no surrounding quotes): the one
+/// escaper behind every hand-rolled JSON document in the workspace, and
+/// the inverse of the string rule in [`parse_json`].
+pub fn json_escape(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -76,6 +78,7 @@ fn escape_into(out: &mut String, s: &str) {
             c => out.push(c),
         }
     }
+    out
 }
 
 struct TraceWriter {
@@ -153,9 +156,9 @@ impl TraceSink {
     fn render_common(name: &str, cat: &str, tid: u64) -> String {
         let mut line = String::with_capacity(128);
         line.push_str("{\"name\":\"");
-        escape_into(&mut line, name);
+        line.push_str(&json_escape(name));
         line.push_str("\",\"cat\":\"");
-        escape_into(&mut line, cat);
+        line.push_str(&json_escape(cat));
         let _ = write!(line, "\",\"pid\":1,\"tid\":{tid}");
         line
     }
@@ -170,7 +173,7 @@ impl TraceSink {
                 line.push(',');
             }
             line.push('"');
-            escape_into(line, k);
+            line.push_str(&json_escape(k));
             line.push_str("\":");
             match v {
                 Arg::U64(n) => {
@@ -178,7 +181,7 @@ impl TraceSink {
                 }
                 Arg::Str(s) => {
                     line.push('"');
-                    escape_into(line, s);
+                    line.push_str(&json_escape(s));
                     line.push('"');
                 }
             }
@@ -581,9 +584,13 @@ mod tests {
 
     #[test]
     fn escapes_special_chars() {
-        let mut s = String::new();
-        escape_into(&mut s, "a\"b\\c\nd\u{1}");
-        assert_eq!(s, "a\\\"b\\\\c\\nd\\u0001");
+        let raw = "a\"b\\c\nd\u{1}\te\r";
+        let s = json_escape(raw);
+        assert_eq!(s, "a\\\"b\\\\c\\nd\\u0001\\te\\r");
+        // The escaped text parses back to the original string.
+        let doc = format!("{{\"name\": \"{s}\"}}");
+        let v = parse_json(&doc).unwrap();
+        assert_eq!(v.get("name").and_then(Json::as_str), Some(raw));
     }
 
     #[test]

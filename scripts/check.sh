@@ -61,7 +61,7 @@ cargo test -p dsolve --test fault_matrix
 # SMT verdict replayed through the independent checker.
 echo "== dsolve --certify smoke"
 for b in ralist stablesort subvsolve malloc; do
-    ./target/release/dsolve "benchmarks/$b.ml" --quiet --certify --timeout 60 --jobs "$JOBS"
+    ./target/release/dsolve "benchmarks/$b.ml" --quiet --certify --max-smt-queries 50000 --jobs "$JOBS"
 done
 
 # Differential fleet smoke: a fixed seed, ≥50 generated programs, the
